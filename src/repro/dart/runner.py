@@ -155,19 +155,17 @@ class Dart:
         result = None
         try:
             with session.signal_guard():
-                if self.options.strategy == "dfs":
-                    # dfs is inherently sequential (each plan depends on
-                    # the previous run's path): jobs is ignored.
-                    result = session.run_figure5()
-                elif self.options.jobs > 1:
+                if self.options.strategy != "dfs" and self.options.jobs > 1:
                     # Imported lazily: multiprocessing machinery is only
-                    # paid for by sessions that ask for it.
+                    # paid for by sessions that ask for it.  (dfs is
+                    # inherently sequential — each plan depends on the
+                    # previous run's path — so it ignores jobs.)
                     from repro.dart.parallel import (
                         run_parallel_generational,
                     )
                     result = run_parallel_generational(session)
                 else:
-                    result = session.run_generational()
+                    result = session.search(session.drain_inline)
             if self.options.export_suite is not None:
                 # Export before the sinks detach, so the suite_exported
                 # and artifact_deduped events reach the live trace and
@@ -298,16 +296,53 @@ class _Pending:
         self.bound = bound
 
 
-class _RunOutcome:
-    """What one contained execution produced."""
+#: Outcomes of one step (the ``run_finished`` event's ``status`` values).
+_OK, _FAULT, _MISMATCH, _QUARANTINED = \
+    "ok", "fault", "mismatch", "quarantined"
 
-    __slots__ = ("hooks", "fault", "mismatch", "quarantined")
 
-    def __init__(self, hooks, fault=None, mismatch=False, quarantined=False):
-        self.hooks = hooks
-        self.fault = fault
-        self.mismatch = mismatch
-        self.quarantined = quarantined
+class _StepRecord:
+    """What one execute-and-plan step produced: the commit's only input.
+
+    ``path`` is set exactly when the run completed (``ok`` or
+    ``fault``); ``children`` holds the planner's ``(stack, im, bound,
+    fingerprint)`` successors.  The inline executor leaves the last four
+    fields None — its counters, flags and events went to the live
+    session as they happened.  A pool worker fills them with its own
+    per-item flags, metrics and phase snapshots and buffered events,
+    which the commit folds in.
+    """
+
+    __slots__ = ("iteration", "planned", "im", "status", "fault",
+                 "quarantine", "path", "covered", "children", "flags",
+                 "metrics", "phases", "events")
+
+    def __init__(self, iteration, planned, im):
+        self.iteration = iteration
+        self.planned = planned
+        self.im = im
+        self.status = _OK
+        self.fault = None
+        self.quarantine = None
+        self.path = None
+        self.covered = ()
+        self.children = ()
+        self.flags = None
+        self.metrics = None
+        self.phases = None
+        self.events = None
+
+
+def _failure_detail(exc):
+    """Exception type, message and innermost frame, for a quarantine."""
+    detail = "{}: {}".format(type(exc).__name__, exc)
+    tb = traceback.extract_tb(exc.__traceback__)
+    if tb:
+        frame = tb[-1]
+        detail += " [{}:{} in {}]".format(
+            frame.filename.rsplit("/", 1)[-1], frame.lineno, frame.name
+        )
+    return detail
 
 
 class _Session:
@@ -365,9 +400,8 @@ class _Session:
         self._truncated = False
         self._engine = "dfs" if self.options.strategy == "dfs" \
             else "generational"
-        #: dfs: the (stack, im) plan the next run will execute.
-        self._dfs_plan = ([], InputVector())
-        #: generational: the live worklist (mutated in place).
+        #: The live frontier (mutated in place).  Under dfs it holds at
+        #: most one item: the plan the next run will execute.
         self._worklist = []
         self._clean_drain = True
         #: generational: (fingerprint, error salt) keys of every child
@@ -444,8 +478,10 @@ class _Session:
             deadline = self._deadline
         return deadline
 
-    def _execute(self, im, predicted_stack):
-        """One instrumented run inside the fault boundary.
+    # -- the step kernel: execute and plan, then commit ----------------------
+
+    def _step(self, item, iteration):
+        """Execute one item inside the fault boundary, then plan from it.
 
         Program faults (:class:`ExecutionFault`) are *results* — real
         bugs found by a real execution.  Everything else escaping the
@@ -454,64 +490,69 @@ class _Session:
         the search continues — one bad run costs one iteration, not the
         session.  Signals (KeyboardInterrupt, SystemExit) still
         propagate.
+
+        A completed run is then planned: ``solve_path_constraint``
+        yields at most one successor under dfs (Fig. 5),
+        ``expand_worklist_children`` one per newly flippable branch
+        otherwise.  A fault that stops the session is not planned.
+        Returns the :class:`_StepRecord` for :meth:`_commit`.
         """
-        self.stats.iterations += 1
-        planned = bool(predicted_stack)
+        options = self.options
+        stats = self.stats
+        trace = self.trace
+        im = item.im
+        record = _StepRecord(iteration, bool(item.stack), im)
         # The execute window covers per-run setup (hooks, machine) as
         # well as the run itself: both are per-execution costs.
         started = time.perf_counter()
-        hooks = DirectedHooks(
-            im, predicted_stack, self.flags, self.rng, self.options
-        )
+        hooks = DirectedHooks(im, item.stack, self.flags, self.rng, options)
         machine = self.dart._machine(
             hooks, self.flags, deadline=self._run_deadline(),
             interrupt_check=self._interrupt_probe
-            if self.options.handle_signals else None,
+            if options.handle_signals else None,
         )
-        trace = self.trace
         if trace.enabled:
-            trace.emit(tr.RUN_STARTED, iteration=self.stats.iterations,
-                       planned=planned)
-        outcome = _RunOutcome(hooks)
+            trace.emit(tr.RUN_STARTED, iteration=iteration,
+                       planned=record.planned)
         try:
             machine.run(DRIVER_ENTRY)
         except ForcingMismatch:
-            outcome.mismatch = True
-            self.stats.forcing_failures += 1
+            record.status = _MISMATCH
+            stats.forcing_failures += 1
             if trace.enabled:
-                trace.emit(tr.FORCING_MISMATCH,
-                           iteration=self.stats.iterations)
+                trace.emit(tr.FORCING_MISMATCH, iteration=iteration)
         except ExecutionFault as caught:
-            outcome.fault = caught
+            record.status = _FAULT
+            record.fault = caught
         except _RunInterrupted:
             # A signal arrived mid-run: abandon the partial run quietly;
             # the budget check right after will checkpoint and return.
-            outcome.quarantined = True
+            record.status = _QUARANTINED
         except RunTimeout as caught:
-            outcome.quarantined = True
-            self._quarantine(RUN_TIMEOUT, im, caught)
+            self._quarantine(record, RUN_TIMEOUT, _failure_detail(caught))
         except (RecursionError, MemoryError) as caught:
-            outcome.quarantined = True
-            self._quarantine(RESOURCE_EXHAUSTED, im, caught)
+            self._quarantine(record, RESOURCE_EXHAUSTED,
+                             _failure_detail(caught))
         except Exception as caught:  # noqa: BLE001 — the fault boundary
-            outcome.quarantined = True
-            self._quarantine(INTERNAL_ERROR, im, caught)
-        self.stats.branches_executed += machine.branches_executed
-        self.stats.instructions_executed += machine.steps
-        self.stats.instructions_symbolic += machine.symbolic_steps
-        self.stats.conjuncts_widened += machine.widener.widened
-        self.stats.conjuncts_dropped_unfaithful += machine.widener.dropped
-        self.stats.covered_branches |= machine.covered_branches
+            self._quarantine(record, INTERNAL_ERROR, _failure_detail(caught))
+        stats.branches_executed += machine.branches_executed
+        stats.instructions_executed += machine.steps
+        stats.instructions_symbolic += machine.symbolic_steps
+        stats.conjuncts_widened += machine.widener.widened
+        stats.conjuncts_dropped_unfaithful += machine.widener.dropped
+        record.covered = machine.covered_branches
+        completed = record.status in (_OK, _FAULT)
         new_path = False
-        if not outcome.mismatch and not outcome.quarantined:
-            new_path = self.stats.note_path(hooks.record.path_key())
-            self.stats.path_length.observe(machine.branches_executed)
-            if planned:
+        if completed:
+            record.path = hooks.record.path_key()
+            # Only a peek: the commit notes the path.  (A pool worker's
+            # answer is patched there, against the session's paths.)
+            new_path = record.path not in stats.distinct_paths
+            stats.path_length.observe(machine.branches_executed)
+            if record.planned:
                 # The predicted prefix was reached and the run finished:
                 # the flip was successfully forced (funnel stage 3).
-                self.stats.runs_forced += 1
-            if self._collect_witnesses:
-                self._witness(im, hooks, machine, outcome.fault)
+                stats.runs_forced += 1
         wall = time.perf_counter() - started
         # IR lowering happens lazily inside the run window (first call of
         # each function); carve it out of execute so both the phase
@@ -527,28 +568,162 @@ class _Session:
                 if trace.enabled:
                     trace.emit(tr.COMPILE, wall_s=round(compile_delta, 6),
                                functions=compiled.functions_compiled)
-        if self.stats.phases.enabled:
+        if stats.phases.enabled:
             if compile_delta > 0.0:
-                self.stats.phases.add(COMPILE, compile_delta)
-            self.stats.phases.add(EXECUTE, wall)
+                stats.phases.add(COMPILE, compile_delta)
+            stats.phases.add(EXECUTE, wall)
         if trace.enabled:
-            if outcome.mismatch:
-                status = "mismatch"
-            elif outcome.quarantined:
-                status = "quarantined"
-            elif outcome.fault is not None:
-                status = "fault"
-            else:
-                status = "ok"
             trace.emit(
-                tr.RUN_FINISHED, iteration=self.stats.iterations,
-                status=status, planned=planned, new_path=new_path,
+                tr.RUN_FINISHED, iteration=iteration, status=record.status,
+                planned=record.planned, new_path=new_path,
                 wall_s=round(wall, 6), steps=machine.steps,
                 branches=machine.branches_executed,
             )
-        return outcome
+        if completed and not (record.fault is not None
+                              and options.stop_on_first_error):
+            record.children = self._plan(hooks, item, iteration)
+        return record
 
-    def _witness(self, im, hooks, machine, fault):
+    def _quarantine(self, record, classification, detail):
+        """Contain an internal failure: record it and degrade honestly.
+
+        Mirroring the paper's ``forcing_ok`` degradation, the ``all
+        linear`` completeness flag is cleared — a path this session could
+        not finish executing is a path it cannot claim to have covered,
+        so Theorem 1(b) verdicts stay sound.
+        """
+        self.flags.clear_linear()
+        im = record.im
+        record.status = _QUARANTINED
+        record.quarantine = QuarantineRecord(
+            classification, im.values(), [slot.kind for slot in im],
+            record.iteration, detail,
+            trace_tail=self.ring.tail() if self.ring is not None else None,
+        )
+        if self.trace.enabled:
+            self.trace.emit(tr.QUARANTINE, classification=classification,
+                            iteration=record.iteration, detail=detail)
+
+    def _plan(self, hooks, item, iteration):
+        """Run the strategy's planner with phase attribution.
+
+        The whole call — slicing, query building, cache, solver — is one
+        ``plan`` trace event; for the phase timer its wall minus the
+        cache sections recorded inside goes to ``solve``, keeping the
+        phases disjoint.  Returns ``(stack, im, bound, fingerprint)``
+        successors.
+        """
+        options = self.options
+        phases = self.stats.phases
+        trace = self.trace
+        timed = phases.enabled or trace.enabled
+        if timed:
+            cache_before = phases.seconds.get(CACHE_PHASE, 0.0)
+            started = time.perf_counter()
+        if options.strategy == "dfs":
+            plan = solve_path_constraint(
+                hooks.record, hooks.finished_stack(), item.im,
+                self.dart.solver, "dfs", self.rng, self.flags, self.stats,
+                escalation=options.solver_escalation, cache=self.cache,
+                slicing=options.constraint_slicing, trace=trace,
+                subsume=options.subsumption,
+            )
+            children = [(plan.stack, plan.im, 0, None)] \
+                if plan is not None else ()
+        else:
+            children = expand_worklist_children(
+                hooks.finished_stack(), hooks.record.constraints, item.im,
+                item.bound, self.dart.solver, self.flags, self.stats,
+                options.solver_escalation, cache=self.cache,
+                slicing=options.constraint_slicing, trace=trace,
+                subsume=options.subsumption,
+                independence=self.dart.independence,
+            )
+        if timed:
+            wall = time.perf_counter() - started
+            if phases.enabled:
+                cache_delta = \
+                    phases.seconds.get(CACHE_PHASE, 0.0) - cache_before
+                phases.add(SOLVE, max(wall - cache_delta, 0.0))
+            if trace.enabled:
+                trace.emit(tr.PLAN, iteration=iteration,
+                           wall_s=round(wall, 6))
+        return children
+
+    def _commit(self, record, pending):
+        """Fold one step record into the session; True = stop the search.
+
+        Both executors commit in iteration order: completeness flags,
+        counters and coverage, the path note, the worker's events, the
+        witness, the successors (through the worklist dedup) and the
+        error report.  A mismatched or quarantined run only taints this
+        drain's completeness; its item is dropped.
+        """
+        stats = self.stats
+        flags = self.flags
+        if record.flags is not None:
+            all_linear, all_locs, _forcing, all_faithful = record.flags
+            if not all_linear:
+                flags.clear_linear()
+            if not all_locs:
+                flags.clear_locs()
+            if not all_faithful:
+                flags.clear_faithful()
+        if record.metrics is not None:
+            # Deterministic instrument merge: counters add, gauges max,
+            # histograms add elementwise; commit order makes it stable,
+            # commutativity makes it independent of worker scheduling.
+            stats.registry.merge(record.metrics)
+            if record.phases:
+                stats.phases.merge(record.phases)
+        stats.covered_branches.update(record.covered)
+        if record.path is None:
+            if record.status == _MISMATCH:
+                # The hooks cleared forcing_ok to abort the run; the
+                # invariant guarantees a completeness flag was already
+                # cleared, so restore it and drop the stale item.
+                flags.forcing_ok = True
+            if record.quarantine is not None:
+                stats.quarantined.append(record.quarantine)
+            self._clean_drain = False
+            self._forward(record.events, False)
+            return False
+        self._forward(record.events, stats.note_path(record.path))
+        fault = record.fault
+        # The recorded-error salt: children of error-differing runs
+        # never collapse in the worklist dedup.
+        error_key = (fault.kind, str(fault.location)) \
+            if fault is not None else None
+        if self._collect_witnesses:
+            self._witness(record, error_key)
+        pending.extend(
+            _Pending(stack, im, bound) for stack, im, bound
+            in self._admit_children(record.children, error_key)
+        )
+        if fault is None:
+            return False
+        self.status = BUG_FOUND
+        if error_key not in self._seen_error_keys:
+            self._seen_error_keys.add(error_key)
+            im = record.im
+            self.errors.append(ErrorReport(
+                fault, im.values(), record.iteration, record.path,
+                kinds=[slot.kind for slot in im],
+            ))
+        return self.options.stop_on_first_error
+
+    def _forward(self, events, new_path):
+        """Re-emit a pool worker's buffered events on the session bus,
+        patching in what only the commit knows: whether the run's path
+        was new to the session."""
+        if not events or not self.trace.enabled:
+            return
+        for event in events:
+            if event["type"] == tr.RUN_FINISHED:
+                event = dict(event, new_path=new_path)
+            self.trace.forward(event)
+
+    def _witness(self, record, error_key):
         """Retain this run for suite export if it is worth keeping.
 
         Keyed by (path signature, error class): the first run of every
@@ -558,6 +733,11 @@ class _Session:
         apart).  Only program-function coverage is stored; driver
         scaffolding is not part of the replay contract.
         """
+        witness_key = (record.path, error_key)
+        if witness_key in self._witnessed:
+            return
+        self._witnessed.add(witness_key)
+        fault = record.fault
         error = None
         if fault is not None:
             error = {
@@ -566,83 +746,13 @@ class _Session:
                 "location": str(fault.location)
                 if fault.location is not None else None,
             }
-        path_key = hooks.record.path_key()
-        error_key = (error["kind"], str(error["location"])) \
-            if error is not None else None
-        witness_key = (path_key, error_key)
-        if witness_key in self._witnessed:
-            return
-        self._witnessed.add(witness_key)
+        im = record.im
         self.witnesses.append(PathWitness(
-            im.values(), [slot.kind for slot in im], path_key,
-            {entry for entry in machine.covered_branches
-             if is_program_branch(entry)},
-            error=error, iteration=self.stats.iterations,
+            im.values(), [slot.kind for slot in im], record.path,
+            {entry for entry in record.covered if is_program_branch(entry)},
+            error=error, iteration=record.iteration,
         ))
         self.stats.witnesses_recorded += 1
-
-    def _quarantine(self, classification, im, exc):
-        """Contain an internal failure: record it and degrade honestly.
-
-        Mirroring the paper's ``forcing_ok`` degradation, the ``all
-        linear`` completeness flag is cleared — a path this session could
-        not finish executing is a path it cannot claim to have covered,
-        so Theorem 1(b) verdicts stay sound.
-        """
-        self.flags.clear_linear()
-        detail = "{}: {}".format(type(exc).__name__, exc)
-        tb = traceback.extract_tb(exc.__traceback__)
-        if tb:
-            frame = tb[-1]
-            detail += " [{}:{} in {}]".format(
-                frame.filename.rsplit("/", 1)[-1], frame.lineno, frame.name
-            )
-        trace_tail = self.ring.tail() if self.ring is not None else None
-        self.stats.quarantined.append(QuarantineRecord(
-            classification, im.values(), [slot.kind for slot in im],
-            self.stats.iterations, detail, trace_tail=trace_tail,
-        ))
-        if self.trace.enabled:
-            self.trace.emit(tr.QUARANTINE, classification=classification,
-                            iteration=self.stats.iterations, detail=detail)
-
-    def _plan(self, func, *args, **kwargs):
-        """Run one planning call (candidate loop) with phase attribution.
-
-        The whole call — slicing, query building, cache, solver — is one
-        ``plan`` trace event; for the phase timer its wall minus the
-        cache sections recorded inside goes to ``solve``, keeping the
-        phases disjoint.
-        """
-        phases = self.stats.phases
-        trace = self.trace
-        timed = phases.enabled or trace.enabled
-        if not timed:
-            return func(*args, **kwargs)
-        cache_before = phases.seconds.get(CACHE_PHASE, 0.0)
-        started = time.perf_counter()
-        result = func(*args, **kwargs)
-        wall = time.perf_counter() - started
-        if phases.enabled:
-            cache_delta = phases.seconds.get(CACHE_PHASE, 0.0) - cache_before
-            phases.add(SOLVE, max(wall - cache_delta, 0.0))
-        if trace.enabled:
-            trace.emit(tr.PLAN, iteration=self.stats.iterations,
-                       wall_s=round(wall, 6))
-        return result
-
-    def _record_error(self, fault, im, hooks):
-        """Record a found bug; returns True when the session should stop."""
-        self.status = BUG_FOUND
-        key = (fault.kind, str(fault.location))
-        if key not in self._seen_error_keys:
-            self._seen_error_keys.add(key)
-            self.errors.append(
-                ErrorReport(fault, im.values(), self.stats.iterations,
-                            hooks.record.path_key(),
-                            kinds=[slot.kind for slot in im])
-            )
-        return self.options.stop_on_first_error
 
     def _result(self):
         # A signal that truncated the search wins over a sticky
@@ -692,7 +802,8 @@ class _Session:
             witnesses=[witness.to_dict() for witness in self.witnesses],
         )
         if self._engine == "dfs":
-            checkpoint.dfs_pending = self._dfs_plan
+            head = self._worklist[0]
+            checkpoint.dfs_pending = (head.stack, head.im)
         else:
             checkpoint.worklist = [
                 (item.stack, item.im, item.bound) for item in self._worklist
@@ -859,72 +970,77 @@ class _Session:
         if self.options.state_file is not None:
             persist.clear_state(self.options.state_file)
 
-    # -- engine 1: the paper's Figs. 2 + 5 ------------------------------------
+    # -- the paper's Fig. 2: one restart loop for every strategy -----------
 
-    def run_figure5(self):
+    def search(self, drain):
+        """Random restarts around frontier drains; returns the result.
+
+        ``drain(pending)`` is an executor: it runs the frontier to empty
+        through :meth:`_step` and :meth:`_commit` and returns True when a
+        found error stops the session.  Each restart seeds a fresh
+        random input vector.  Under dfs the frontier holds at most one
+        item, so a mismatch or quarantine empties it and forces a
+        restart (Section 2.3); the bfs and random strategies (footnote
+        4) drain a *generational worklist* instead — every newly
+        discovered flippable branch spawns a pending input vector — so
+        they stay sound and complete where a plain reordering of Fig.
+        5's single stack would silently discard deep branches.  A clean
+        drain with every completeness flag intact ends the search
+        ``complete`` (Theorem 1(b)).
+        """
         checkpoint = self._resume()
-        resumed = checkpoint.dfs_pending if checkpoint is not None else None
+        pending = None
+        if checkpoint is not None:
+            if checkpoint.dfs_pending is not None:
+                stack, im = checkpoint.dfs_pending
+                pending = [_Pending(stack, im, 0)]
+            elif checkpoint.worklist is not None:
+                pending = [_Pending(stack, im, bound)
+                           for stack, im, bound in checkpoint.worklist]
         try:
-            while True:  # the outer "repeat" — random restarts
-                if resumed is not None:
-                    predicted_stack, im = resumed
-                    resumed = None
-                else:
-                    im = InputVector()
-                    predicted_stack = []
-                search_finished = False
-                while True:  # the inner "while (directed)"
-                    self._dfs_plan = (predicted_stack, im)
-                    self._autosave()
-                    self._check_budget()
-                    outcome = self._execute(im, predicted_stack)
-                    if outcome.mismatch:
-                        # §2.3: restart with a fresh random input vector.
-                        self.flags.forcing_ok = True
-                        break
-                    if outcome.quarantined:
-                        # The run died inside the fault boundary; its path
-                        # record cannot be trusted, so fall back to a
-                        # random restart — the one-run cost of the fault.
-                        break
-                    if outcome.fault is not None and self._record_error(
-                        outcome.fault, im, outcome.hooks
-                    ):
-                        self._clear_checkpoint()
-                        return self._result()
-                    plan = self._plan(
-                        solve_path_constraint,
-                        outcome.hooks.record, outcome.hooks.finished_stack(),
-                        im, self.dart.solver, "dfs", self.rng, self.flags,
-                        self.stats, escalation=self.options.solver_escalation,
-                        cache=self.cache,
-                        slicing=self.options.constraint_slicing,
-                        trace=self.trace,
-                        subsume=self.options.subsumption,
-                    )
-                    if plan is None:
-                        search_finished = True
-                        break
-                    im = plan.im
-                    predicted_stack = plan.stack
-                # the "until all_linear and all_locs_definite" condition
-                if search_finished and self._finished_complete():
+            while True:
+                if pending is None:
+                    pending = [_Pending([], InputVector(), 0)]
+                    self._clean_drain = True
+                    self._dedup_seen = set()
+                if drain(pending) or (self._clean_drain
+                                      and self._finished_complete()):
                     self._clear_checkpoint()
                     return self._result()
                 self.stats.random_restarts += 1
+                pending = None
         except _BudgetReached:
             # §2.3: the stack is "kept in a file between executions" —
-            # checkpoint the pending plan so the search resumes later.
+            # checkpoint the pending work so the search resumes later.
             self._truncated = True
             self._save_checkpoint()
             return self._result()
 
-    # -- engine 2: generational worklist (footnote 4 done soundly) -----------
+    def drain_inline(self, pending):
+        """The inline executor: run a frontier to empty in-process.
+
+        Steps run against the live statistics, flags and trace bus and
+        draw from the session RNG; each item is popped only after the
+        budget check, so a checkpoint taken there still holds it.
+        """
+        stats = self.stats
+        self._worklist = pending
+        stats.worklist_depth.set(len(pending))
+        while pending:
+            self._autosave()
+            self._check_budget()
+            item = self._pop(pending)
+            stats.worklist_depth.set(len(pending))
+            stats.iterations += 1
+            if self._commit(self._step(item, stats.iterations), pending):
+                return True
+            stats.worklist_depth.set(len(pending))
+        return False
 
     def _pop(self, pending):
-        if self.options.strategy == "bfs":
-            return pending.pop(0)
-        return pending.pop(self.rng.randrange(len(pending)))
+        if self.options.strategy == "random":
+            return pending.pop(self.rng.randrange(len(pending)))
+        return pending.pop(0)
 
     def _admit_children(self, children, salt):
         """Insert-time worklist dedup (the subsumption layer's half two).
@@ -954,78 +1070,6 @@ class _Session:
                     continue
                 seen.add(key)
             yield stack, im, bound
-
-    def run_generational(self):
-        solver = self.dart.solver
-        escalation = self.options.solver_escalation
-        checkpoint = self._resume()
-        pending = None
-        if checkpoint is not None and checkpoint.worklist is not None:
-            pending = [
-                _Pending(stack, im, bound)
-                for stack, im, bound in checkpoint.worklist
-            ]
-        try:
-            while True:  # random restarts, as in Fig. 2
-                if pending is None:
-                    pending = [_Pending([], InputVector(), 0)]
-                    self._clean_drain = True
-                    self._dedup_seen = set()
-                self._worklist = pending
-                self.stats.worklist_depth.set(len(pending))
-                while pending:
-                    self._autosave()
-                    self._check_budget()
-                    item = self._pop(pending)
-                    # Live gauge update on every pop and push (below), so
-                    # the depth — and its peak — stays honest for serial
-                    # sessions, matching the parallel engine.
-                    self.stats.worklist_depth.set(len(pending))
-                    outcome = self._execute(item.im, item.stack)
-                    if outcome.mismatch:
-                        # The invariant guarantees a completeness flag was
-                        # already cleared; drop the stale item.
-                        self.flags.forcing_ok = True
-                        self._clean_drain = False
-                        continue
-                    if outcome.quarantined:
-                        # Contained failure: this item is lost (one run's
-                        # worth of work), the rest of the frontier lives.
-                        self._clean_drain = False
-                        continue
-                    if outcome.fault is not None and self._record_error(
-                        outcome.fault, item.im, outcome.hooks
-                    ):
-                        self._clear_checkpoint()
-                        return self._result()
-                    children = self._plan(
-                        expand_worklist_children,
-                        outcome.hooks.finished_stack(),
-                        outcome.hooks.record.constraints,
-                        item.im, item.bound, solver, self.flags,
-                        self.stats, escalation, cache=self.cache,
-                        slicing=self.options.constraint_slicing,
-                        trace=self.trace,
-                        subsume=self.options.subsumption,
-                        independence=self.dart.independence,
-                    )
-                    salt = (outcome.fault.kind, str(outcome.fault.location)) \
-                        if outcome.fault is not None else None
-                    pending.extend(
-                        _Pending(stack, im, bound)
-                        for stack, im, bound
-                        in self._admit_children(children, salt)
-                    )
-                    self.stats.worklist_depth.set(len(pending))
-                if self._clean_drain and self._finished_complete():
-                    self._clear_checkpoint()
-                    return self._result()
-                self.stats.random_restarts += 1
-                pending = None
-        except _BudgetReached:
-            self._truncated = True
-            self._save_checkpoint()
-            return self._result()
 
 
 def dart_check(source, toplevel, options=None, **option_kwargs):
