@@ -41,6 +41,12 @@ workload is the whole search tree, not just the run that finds the bug):
   execute(+compile) phases must improve by >= 3x, with identical
   verdicts, error sets and instruction counts (the engines are
   observationally identical — only the clock may move).
+* **resume** — prefix snapshots (:mod:`repro.dart.resume`) on one
+  Needham-Schroeder/Dolev-Yao depth-3 dfs session at seed 0: status
+  ``complete`` in 5,168 runs with no error, ``snapshot_hits > 0``, and
+  the instructions actually executed (``instructions_executed`` minus
+  ``instructions_resumed``) at most half the logical count.  Counts
+  only: the wall is recorded, never gated.
 
 Every wall-clock figure a gate compares is a best-of-N over ``runs``
 independent sessions (recorded in the JSON), so one preempted timeslice
@@ -558,6 +564,47 @@ def coverage_section(failures):
     return row
 
 
+#: The resume gate: executed instructions at most this share of the
+#: logical count on NS-DY depth 3.
+RESUME_EXECUTED_SHARE = 0.5
+
+
+def resume_section(failures):
+    """Prefix-snapshot resume on NS-DY depth 3 (dfs, seed 0)."""
+    options = DartOptions(depth=3, max_iterations=50_000, seed=0)
+    start = time.perf_counter()
+    result = Dart(ns_source("dolev_yao"), "ns_dy_step", options).run()
+    wall = time.perf_counter() - start
+    stats = result.stats
+    executed = stats.instructions_executed - stats.instructions_resumed
+    row = {
+        "program": "Needham-Schroeder / Dolev-Yao, depth 3, dfs, seed 0",
+        "status": result.status,
+        "iterations": stats.iterations,
+        "errors": len(result.errors),
+        "snapshot_hits": stats.snapshot_hits,
+        "instructions_executed": stats.instructions_executed,
+        "instructions_resumed": stats.instructions_resumed,
+        "executed_share": round(
+            executed / max(stats.instructions_executed, 1), 4),
+        "wall_s": round(wall, 4),
+    }
+    if (row["status"], row["iterations"], row["errors"]) \
+            != ("complete", 5168, 0):
+        failures.append(
+            "resume: NS-DY depth 3 ended {status} after {iterations} "
+            "run(s) with {errors} error(s); expected complete, 5168, 0"
+            .format(**row))
+    if row["snapshot_hits"] <= 0:
+        failures.append("resume: no run resumed from a snapshot")
+    if executed > RESUME_EXECUTED_SHARE * stats.instructions_executed:
+        failures.append(
+            "resume: {} of {} instructions executed (at most {:.0%} "
+            "allowed)".format(executed, stats.instructions_executed,
+                              RESUME_EXECUTED_SHARE))
+    return row
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -591,6 +638,7 @@ def main(argv=None):
     report["coverage"] = coverage_section(failures)
     report["phases"] = phases_section(failures)
     report["throughput"] = throughput_section(failures)
+    report["resume"] = resume_section(failures)
     report["ok"] = not failures
     report["failures"] = failures
 
@@ -659,6 +707,12 @@ def main(argv=None):
               throughput["interpreted"]["instructions_per_s"],
               throughput["compiled"]["instructions_per_s"],
               throughput["speedup"], throughput["runs"]))
+    resume = report["resume"]
+    print("resume: {} of {} runs resumed, {:.1%} of {} instructions "
+          "executed ({}s)".format(
+              resume["snapshot_hits"], resume["iterations"],
+              resume["executed_share"], resume["instructions_executed"],
+              resume["wall_s"]))
     print("wrote", out)
     if failures:
         for failure in failures:

@@ -597,6 +597,7 @@ def main(argv=None):
     )
     print(
         "instructions: {instructions_executed} executed / "
-        "{instructions_symbolic} symbolic".format(**stats)
+        "{instructions_symbolic} symbolic / {instructions_resumed} "
+        "resumed from {snapshot_hits} snapshot(s)".format(**stats)
     )
     return _exit_code(result)

@@ -20,7 +20,9 @@ compiled into a single self-executable module — "there is no need to write
 any test driver or harness code".
 """
 
+from repro.minic import ast_nodes as ast
 from repro.minic import compile_program
+from repro.minic import ir
 from repro.minic import typesys as ts
 from repro.minic.errors import SemanticError
 from repro.dart.interface import extract_interface
@@ -306,3 +308,14 @@ def build_test_program(source, toplevel, depth=1, filename="<program>",
     driver = generate_driver(interface, depth=depth,
                              max_init_depth=max_init_depth)
     return compile_program(source + driver, filename=filename)
+
+
+def toplevel_call_pc(module, toplevel):
+    """The index of ``__dart_main``'s call to ``toplevel`` in the lowered
+    driver: the instruction after which each driver iteration ends
+    (repro.dart.resume snapshots the machine there).  None if absent."""
+    for pc, instr in enumerate(module.function(DRIVER_ENTRY).instrs):
+        if isinstance(instr, ir.Eval) and isinstance(instr.expr, ast.Call) \
+                and instr.expr.name == toplevel:
+            return pc
+    return None

@@ -98,6 +98,10 @@ class InputVector:
             for ordinal, slot in enumerate(self._slots)
         }
 
+    def prefix(self, count):
+        """The first ``count`` slots as ``(kind, value)`` pairs."""
+        return tuple((slot.kind, slot.value) for slot in self._slots[:count])
+
     def values(self):
         """The raw value list (for reports and replay)."""
         return [slot.value for slot in self._slots]

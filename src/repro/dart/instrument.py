@@ -88,6 +88,29 @@ class DirectedHooks:
         else:
             stack.append(StackEntry(branch, done=False))
 
+    # -- prefix snapshots (repro.dart.resume) -------------------------------
+
+    def capture(self):
+        """``(branches, constraints, inputs consumed)`` so far."""
+        record = self.record
+        return (tuple(entry.branch for entry in record.stack),
+                tuple(record.constraints), self._next_ordinal)
+
+    def resume(self, branches, constraints, consumed):
+        """Adopt a captured prefix as if this run had just executed it:
+        the record, the input cursor and Fig. 4's stack updates.  The
+        caller has checked that the predicted stack agrees with
+        ``branches`` wherever both are defined."""
+        stack = self.stack
+        known = len(stack)
+        if 0 < known <= len(branches):
+            stack[known - 1].done = True
+        stack.extend(StackEntry(branch) for branch in branches[known:])
+        record = self.record
+        record.stack = [StackEntry(branch) for branch in branches]
+        record.constraints = list(constraints)
+        self._next_ordinal = consumed
+
     def finished_stack(self):
         """The stack after a completed run.
 

@@ -282,6 +282,13 @@ class RunStats:
         # entry (same future, same recorded-error salt) was already
         # enqueued this drain.
         "flips_subsumed_core", "worklist_deduped",
+        # Prefix snapshots (repro.dart.resume): ``snapshot_hits`` counts
+        # runs resumed from the previous run's driver-iteration snapshot;
+        # ``instructions_resumed`` the logical instructions those runs
+        # restored instead of executing (they stay counted in
+        # ``instructions_executed``).  Both depend on which runs follow
+        # which, so pool sessions differ from serial ones here.
+        "snapshot_hits", "instructions_resumed",
     )
 
     def __init__(self):
@@ -370,6 +377,8 @@ class RunStats:
             "steps": self.instructions_executed,
             "instructions_executed": self.instructions_executed,
             "instructions_symbolic": self.instructions_symbolic,
+            "snapshot_hits": self.snapshot_hits,
+            "instructions_resumed": self.instructions_resumed,
             "quarantined": len(self.quarantined),
             "elapsed_s": round(self.elapsed, 4),
             "flips_attempted": self.flips_attempted,

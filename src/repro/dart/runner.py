@@ -52,6 +52,7 @@ from repro.dart.report import (
     QuarantineRecord,
     RunStats,
 )
+from repro.dart.resume import Recording, SnapshotStore
 from repro.dart.solve import (
     expand_worklist_children,
     solve_path_constraint,
@@ -108,6 +109,9 @@ class Dart:
         self.trace = TraceBus()
         if self.solver_cache is not None:
             self.solver_cache.trace = self.trace
+        #: The post-load memory image every machine starts from (built
+        #: when the first machine is asked for).
+        self._image = None
         #: Identifies (program, toplevel, search configuration, constraint
         #: encoding) so a checkpoint written by a different session — or
         #: by the same session under an older constraint encoding, whose
@@ -217,7 +221,10 @@ class Dart:
                 self.trace.detach(jsonl)
                 jsonl.close()
 
-    def _machine(self, hooks, flags, deadline=None, interrupt_check=None):
+    def _machine(self, hooks, flags, deadline=None, interrupt_check=None,
+                 resume=None):
+        if self._image is None:
+            self._image = Machine.load_image(self.module)
         machine_options = MachineOptions(
             max_steps=self.options.max_steps,
             transparent_memory=self.options.transparent_memory,
@@ -228,7 +235,8 @@ class Dart:
             trace=self.trace,
         )
         return Machine(self.module, machine_options, hooks, flags,
-                       compiled=self.compiled)
+                       compiled=self.compiled, image=self._image,
+                       resume=resume)
 
     # -- replay -----------------------------------------------------------
 
@@ -408,6 +416,10 @@ class _Session:
         #: enqueued this drain — the worklist-dedup seen set (reset on
         #: random restart, checkpointed so a resume keeps deduping).
         self._dedup_seen = set()
+        #: The last completed run's driver-iteration snapshots (None at
+        #: depth 1, where a run has no boundary to resume from).
+        self._snapshots = SnapshotStore(dart) \
+            if self.options.depth > 1 else None
 
     # -- graceful interruption ----------------------------------------------
 
@@ -491,6 +503,10 @@ class _Session:
         session.  Signals (KeyboardInterrupt, SystemExit) still
         propagate.
 
+        The run resumes from the last completed run's deepest matching
+        driver-iteration snapshot when there is one (repro.dart.resume);
+        every count below is the logical, full-execution one either way.
+
         A completed run is then planned: ``solve_path_constraint``
         yields at most one successor under dfs (Fig. 5),
         ``expand_worklist_children`` one per newly flippable branch
@@ -500,40 +516,37 @@ class _Session:
         options = self.options
         stats = self.stats
         trace = self.trace
-        im = item.im
-        record = _StepRecord(iteration, bool(item.stack), im)
+        record = _StepRecord(iteration, bool(item.stack), item.im)
         # The execute window covers per-run setup (hooks, machine) as
         # well as the run itself: both are per-execution costs.
         started = time.perf_counter()
-        hooks = DirectedHooks(im, item.stack, self.flags, self.rng, options)
-        machine = self.dart._machine(
-            hooks, self.flags, deadline=self._run_deadline(),
-            interrupt_check=self._interrupt_probe
-            if options.handle_signals else None,
-        )
+        snapshot = self._resume_point(item)
+        if snapshot is not None:
+            stats.snapshot_hits += 1
+            stats.instructions_resumed += snapshot.machine.steps
         if trace.enabled:
             trace.emit(tr.RUN_STARTED, iteration=iteration,
                        planned=record.planned)
-        try:
-            machine.run(DRIVER_ENTRY)
-        except ForcingMismatch:
+        hooks, machine, caught = self._execute(item, self.flags, self.rng,
+                                               snapshot)
+        if isinstance(caught, ForcingMismatch):
             record.status = _MISMATCH
             stats.forcing_failures += 1
             if trace.enabled:
                 trace.emit(tr.FORCING_MISMATCH, iteration=iteration)
-        except ExecutionFault as caught:
+        elif isinstance(caught, ExecutionFault):
             record.status = _FAULT
             record.fault = caught
-        except _RunInterrupted:
+        elif isinstance(caught, _RunInterrupted):
             # A signal arrived mid-run: abandon the partial run quietly;
             # the budget check right after will checkpoint and return.
             record.status = _QUARANTINED
-        except RunTimeout as caught:
+        elif isinstance(caught, RunTimeout):
             self._quarantine(record, RUN_TIMEOUT, _failure_detail(caught))
-        except (RecursionError, MemoryError) as caught:
+        elif isinstance(caught, (RecursionError, MemoryError)):
             self._quarantine(record, RESOURCE_EXHAUSTED,
                              _failure_detail(caught))
-        except Exception as caught:  # noqa: BLE001 — the fault boundary
+        elif caught is not None:
             self._quarantine(record, INTERNAL_ERROR, _failure_detail(caught))
         stats.branches_executed += machine.branches_executed
         stats.instructions_executed += machine.steps
@@ -583,6 +596,49 @@ class _Session:
                               and options.stop_on_first_error):
             record.children = self._plan(hooks, item, iteration)
         return record
+
+    def _resume_point(self, item):
+        """The snapshot ``item`` resumes from, or None (full execution)."""
+        store = self._snapshots
+        if store is None:
+            return None
+        return store.find(item, self.trace.enabled)
+
+    def _execute(self, item, flags, rng, snapshot, keep=True):
+        """Run ``item`` once, resumed from ``snapshot`` or from scratch
+        when it is None; returns ``(hooks, machine, exception)``.
+
+        The exception is whatever the run raised (None for a clean
+        finish); the caller classifies it.  The run's own boundary
+        snapshots replace the store's when it completes (ok or program
+        fault) and ``keep`` is set.
+        """
+        hooks = DirectedHooks(item.im, item.stack, flags, rng, self.options)
+        store = self._snapshots
+        recording = None
+        if store is not None:
+            recording = Recording(store, snapshot, hooks, flags, self.trace)
+        machine = self.dart._machine(
+            hooks, flags, deadline=self._run_deadline(),
+            interrupt_check=self._interrupt_probe
+            if self.options.handle_signals else None,
+            resume=snapshot.machine if snapshot is not None else None,
+        )
+        caught = None
+        try:
+            boundary = None
+            if recording is not None:
+                boundary = recording.start(machine)
+            machine.run(DRIVER_ENTRY, boundary=boundary)
+        except Exception as exc:  # noqa: BLE001 — the fault boundary
+            caught = exc
+        finally:
+            if recording is not None:
+                recording.stop()
+        if keep and recording is not None \
+                and (caught is None or isinstance(caught, ExecutionFault)):
+            store.keep(recording)
+        return hooks, machine, caught
 
     def _quarantine(self, record, classification, detail):
         """Contain an internal failure: record it and degrade honestly.

@@ -139,6 +139,29 @@ class FaultInjector:
         if self._probe("machine.recursion"):
             raise RecursionError("injected machine recursion overflow")
 
+    #: The sites :meth:`machine_probe` counts, in probe order.
+    _MACHINE_SITES = ("machine.memory", "machine.recursion")
+
+    def machine_probes_fire(self, count):
+        """Would any of the next ``count`` machine probes fire a fault?"""
+        return any(
+            self.plan.fires(site, self.hits.get(site, 0) + ahead)
+            for site in self._MACHINE_SITES
+            for ahead in range(1, count + 1)
+        )
+
+    def skip_machine_probes(self, count):
+        """Count ``count`` machine probes as made, without making them.
+
+        A run resumed from a prefix snapshot passes the watchdog probes
+        that prefix made; the caller has ruled out (with
+        :meth:`machine_probes_fire`) that any of them fires, so the
+        counters end exactly where full execution leaves them.
+        """
+        if count:
+            for site in self._MACHINE_SITES:
+                self.hits[site] = self.hits.get(site, 0) + count
+
     def checkpoint_write(self):
         """Probed inside ``_atomic_write``; returns a failure mode.
 

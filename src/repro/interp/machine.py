@@ -15,6 +15,13 @@ Two extension points connect the machine to the testing layers:
   conditional statement with the branch outcome and the path-constraint
   conjunct, implementing the ``path_constraint``/``stack`` bookkeeping of
   Figs. 3 and 4.
+
+A machine can also start part-way: :meth:`Machine.load_image` builds the
+memory that loading the module produces once, for every later machine to
+copy, and :meth:`Machine.capture` snapshots a running machine between
+two steps of its entry frame, which a machine constructed with
+``resume=`` continues (repro.dart.resume does this at the driver's
+iteration boundaries).
 """
 
 import sys
@@ -141,6 +148,35 @@ class _StructValue:
         self.source_addr = source_addr
 
 
+class LoadImage:
+    """The machine state ``_load_module`` builds: interned strings and
+    initialized globals.  Built once per module by
+    :meth:`Machine.load_image`; every machine given it starts from a
+    copy instead of loading the module again."""
+
+    __slots__ = ("memory", "global_addrs", "string_addrs")
+
+    def __init__(self, memory, global_addrs, string_addrs):
+        self.memory = memory
+        #: Shared read-only by every machine built from the image.
+        self.global_addrs = global_addrs
+        self.string_addrs = string_addrs
+
+
+class Snapshot:
+    """One machine captured between two steps of its entry frame.
+
+    Built by :meth:`Machine.capture`; a machine constructed with
+    ``resume=snapshot`` re-enters the entry frame's step loop at ``pc``
+    with every piece of machine state as it was.  The snapshot itself
+    is never mutated, so it can be resumed any number of times.
+    """
+
+    __slots__ = ("function", "pc", "frame", "alloca", "image", "symbolic",
+                 "widener", "steps", "symbolic_steps", "branches_executed",
+                 "next_watchdog", "probes", "covered", "output")
+
+
 class Machine:
     """Executes a lowered module; one instance per program execution.
 
@@ -155,7 +191,7 @@ class Machine:
     """
 
     def __init__(self, module, options=None, hooks=None, flags=None,
-                 compiled=None):
+                 compiled=None, image=None, resume=None):
         self.module = module
         self.options = options or MachineOptions()
         self.hooks = hooks or ExecutionHooks()
@@ -190,11 +226,68 @@ class Machine:
         self._return_value = (0, None)
         #: Step count at which the wall-clock watchdog next fires.
         self._next_watchdog = self.options.watchdog_interval
-        self._load_module()
+        #: Fault-injector probes made by the watchdog so far.
+        self.probes = 0
+        #: The snapshot run() re-enters, or None to start from scratch.
+        self._resume = resume
+        if resume is not None:
+            image = resume.image
+        if image is None:
+            self._load_module()
+        else:
+            self.memory.restore(image.memory)
+            self._global_addrs = image.global_addrs
+            self._string_addrs = image.string_addrs
+        if resume is not None:
+            self._restore(resume)
         if sys.getrecursionlimit() < 20000:
             sys.setrecursionlimit(20000)
 
-    # -- loading --------------------------------------------------------
+    # -- loading, capture and resume -------------------------------------
+
+    @classmethod
+    def load_image(cls, module):
+        """The :class:`LoadImage` of ``module`` (strings and globals)."""
+        machine = cls(module)
+        return LoadImage(machine.memory.capture(), machine._global_addrs,
+                         machine._string_addrs)
+
+    def capture(self, pc):
+        """A :class:`Snapshot` of this machine, taken between two steps
+        of its entry frame; ``pc`` is the entry frame's next step."""
+        if len(self._frames) != 1:
+            raise InterpreterError("capture outside the entry frame")
+        frame = self._frames[0]
+        snapshot = Snapshot()
+        snapshot.function = frame.function
+        snapshot.pc = pc
+        snapshot.frame = frame.region.start
+        snapshot.alloca = tuple(block.start
+                                for block in frame.alloca_regions)
+        snapshot.image = LoadImage(self.memory.capture(), self._global_addrs,
+                                   self._string_addrs)
+        snapshot.symbolic = self.symbolic.capture()
+        snapshot.widener = self.widener.capture()
+        snapshot.steps = self.steps
+        snapshot.symbolic_steps = self.symbolic_steps
+        snapshot.branches_executed = self.branches_executed
+        snapshot.next_watchdog = self._next_watchdog
+        snapshot.probes = self.probes
+        snapshot.covered = frozenset(self.covered_branches)
+        snapshot.output = tuple(self.output)
+        return snapshot
+
+    def _restore(self, snapshot):
+        """Everything but the memory image (__init__ restored that)."""
+        self.symbolic.restore(snapshot.symbolic)
+        self.widener.restore(snapshot.widener)
+        self.steps = snapshot.steps
+        self.symbolic_steps = snapshot.symbolic_steps
+        self.branches_executed = snapshot.branches_executed
+        self._next_watchdog = snapshot.next_watchdog
+        self.probes = snapshot.probes
+        self.covered_branches = set(snapshot.covered)
+        self.output = list(snapshot.output)
 
     def _load_module(self):
         for data in self.module.strings:
@@ -235,12 +328,18 @@ class Machine:
 
     # -- public entry points -----------------------------------------------
 
-    def run(self, function_name, args=()):
+    def run(self, function_name, args=(), boundary=None):
         """Execute ``function_name``; returns the concrete return value.
 
         ``args`` are concrete integers for scalar parameters.  Program
         faults propagate as :class:`ExecutionFault`; ``exit()`` is a normal
-        halt and yields its status code.
+        halt and yields its status code.  A machine constructed with
+        ``resume=snapshot`` continues the snapshot's entry frame instead
+        (``args`` are then ignored: they are already in the frame).
+
+        ``boundary`` is an optional ``(pc, reached)`` pair: each time the
+        entry frame completes its instruction ``pc``, ``reached(next_pc)``
+        is called — the moment :meth:`capture` may snapshot the machine.
         """
         function = self.module.function(function_name)
         if len(args) != len(function.param_slots):
@@ -255,16 +354,31 @@ class Machine:
             # interpreter itself blew up; the runner's fault boundary
             # must quarantine the run, not crash the session.
             injector.machine_probe()
-        pairs = [(value, None) for value in args]
+        snapshot = self._resume
         try:
-            value, _ = self._call(function, pairs, function.location)
+            if snapshot is None:
+                pairs = [(value, None) for value in args]
+                value, _ = self._call(function, pairs, function.location,
+                                      boundary)
+            else:
+                if snapshot.function is not function:
+                    raise InterpreterError(
+                        "snapshot was captured in {!r}".format(
+                            snapshot.function.name))
+                self._resume = None
+                frame = Frame(function,
+                              self.memory.region_at(snapshot.frame))
+                frame.alloca_regions = [self.memory.region_at(start)
+                                        for start in snapshot.alloca]
+                value, _ = self._activate(function, frame, snapshot.pc,
+                                          boundary)
         except ProgramHalt as halt:
             return halt.code
         return value
 
     # -- call machinery ----------------------------------------------------
 
-    def _call(self, function, arg_pairs, location):
+    def _call(self, function, arg_pairs, location, boundary=None):
         region = self.memory.push_frame(
             max(function.frame_size, 1), function.name, len(self._frames) + 1
         )
@@ -272,16 +386,21 @@ class Machine:
         for slot, (value, sym) in zip(function.param_slots, arg_pairs):
             addr = region.start + slot.offset
             self._store_scalar_or_struct(addr, slot.ctype, value, sym)
+        return self._activate(function, frame, 0, boundary)
+
+    def _activate(self, function, frame, pc, boundary):
+        """Run ``frame`` from instruction ``pc`` until it returns."""
         self._frames.append(frame)
         try:
             compiled = self.compiled
             if compiled is not None:
                 return self._execute_compiled(
-                    compiled.function(function), frame
+                    compiled.function(function), frame, pc, boundary
                 )
-            return self._execute(function, frame)
+            return self._execute(function, frame, pc, boundary)
         finally:
             self._frames.pop()
+            region = frame.region
             self.memory.pop_frame(region, frame.alloca_regions)
             self.symbolic.invalidate(region.start, region.size)
 
@@ -300,10 +419,10 @@ class Machine:
         self.memory.write_int(addr, value, size, signed)
         self.symbolic.write(addr, size, sym)
 
-    def _execute(self, function, frame):
+    def _execute(self, function, frame, pc=0, boundary=None):
         instrs = function.instrs
         dispatch = self._STEP_DISPATCH
-        pc = 0
+        at, reached = boundary if boundary is not None else (-1, None)
         limit = self.options.max_steps
         deadline = self.options.deadline
         interrupt_check = self.options.interrupt_check
@@ -321,6 +440,7 @@ class Machine:
                 if injector is not None:
                     # Fault seam: resource exhaustion mid-execution, at
                     # watchdog cadence so deep runs are also exposed.
+                    self.probes += 1
                     injector.machine_probe()
                 if interrupt_check is not None:
                     interrupt_check()
@@ -334,28 +454,34 @@ class Machine:
                     "unknown instruction {!r}".format(instr)
                 )
             try:
-                pc = step(self, instr, pc, function)
+                next_pc = step(self, instr, pc, function)
             except ExecutionFault as fault:
                 # Attach the faulting statement's location so reports and
                 # crash-site deduplication have a precise anchor.
                 if fault.location is None:
                     fault.location = instr.location
                 raise
-            if pc < 0:
+            if pc == at:
+                reached(next_pc)
+            if next_pc < 0:
                 return self._return_value
+            pc = next_pc
 
-    def _execute_compiled(self, cfunc, frame):
+    def _execute_compiled(self, cfunc, frame, pc=0, boundary=None):
         """Step loop for the compiled engine (repro.interp.compile).
 
         Mirrors ``_execute`` exactly — same step accounting, watchdog
         cadence, fault-location attachment — but each pc indexes a
         pre-lowered closure ``step(machine, frame_base) -> next pc``
-        instead of re-dispatching on the instruction type.
+        instead of re-dispatching on the instruction type.  A boundary
+        wraps its one step in a private copy of the step list, so the
+        loop itself pays nothing for it.
         """
         steps = cfunc.steps
+        if boundary is not None:
+            steps = _with_boundary(steps, boundary)
         locations = cfunc.locations
         fbase = frame.region.start
-        pc = 0
         limit = self.options.max_steps
         deadline = self.options.deadline
         interrupt_check = self.options.interrupt_check
@@ -372,6 +498,7 @@ class Machine:
                 if injector is not None:
                     # Fault seam: same cadence as the interpreter so fault
                     # plans replay identically under either engine.
+                    self.probes += 1
                     injector.machine_probe()
                 if interrupt_check is not None:
                     interrupt_check()
@@ -852,6 +979,21 @@ class Machine:
     # Dispatch tables, built once.
     _DISPATCH = {}
     _STEP_DISPATCH = {}
+
+
+def _with_boundary(steps, boundary):
+    """A copy of ``steps`` whose step ``at`` also calls ``reached``."""
+    at, reached = boundary
+    inner = steps[at]
+
+    def step(machine, fbase):
+        pc = inner(machine, fbase)
+        reached(pc)
+        return pc
+
+    steps = list(steps)
+    steps[at] = step
+    return steps
 
 
 Machine._DISPATCH = {

@@ -67,11 +67,48 @@ class Region:
     def end(self):
         return self.start + self.size
 
+    def clone(self):
+        """An independent copy (bytes and written bitmap included)."""
+        region = Region.__new__(Region)
+        region.start = self.start
+        region.size = self.size
+        region.data = bytearray(self.data)
+        region.live = self.live
+        region.kind = self.kind
+        region.label = self.label
+        region.written = bytearray(self.written) \
+            if self.written is not None else None
+        return region
+
     def __repr__(self):
         return "Region({:#x}+{}, {}, {!r}{})".format(
             self.start, self.size, self.kind, self.label,
             "" if self.live else ", dead",
         )
+
+
+class MemoryImage:
+    """A frozen copy of a :class:`Memory`, restorable any number of times.
+
+    Only *live, writable* regions need bytes of their own: a dead region
+    (popped frame, freed block) can never be read, written or revived,
+    and a string region is read-only, so both are shared by reference
+    between the memory that was captured, the image and every memory
+    restored from it.
+    """
+
+    __slots__ = ("regions", "writable", "starts", "bumps", "stack_used",
+                 "heap_used")
+
+    def __init__(self, regions, writable, starts, bumps, stack_used,
+                 heap_used):
+        self.regions = regions
+        #: Starts of the regions copied per capture and per restore.
+        self.writable = writable
+        self.starts = starts
+        self.bumps = bumps
+        self.stack_used = stack_used
+        self.heap_used = heap_used
 
 
 class Memory:
@@ -90,6 +127,36 @@ class Memory:
         }
         self._stack_used = 0
         self._heap_used = 0
+
+    # -- images -----------------------------------------------------------
+
+    def capture(self):
+        """A :class:`MemoryImage` of the current state."""
+        regions = dict(self._regions)
+        writable = []
+        for start, region in regions.items():
+            if region.live and region.kind != "string":
+                regions[start] = region.clone()
+                writable.append(start)
+        return MemoryImage(regions, writable, list(self._starts),
+                           dict(self._bumps), self._stack_used,
+                           self._heap_used)
+
+    def restore(self, image):
+        """Adopt a copy of ``image``, leaving the image itself untouched."""
+        regions = dict(image.regions)
+        for start in image.writable:
+            regions[start] = regions[start].clone()
+        self._regions = regions
+        self._starts = list(image.starts)
+        self._last_region = None
+        self._bumps = dict(image.bumps)
+        self._stack_used = image.stack_used
+        self._heap_used = image.heap_used
+
+    def region_at(self, start):
+        """The region allocated at exactly ``start``."""
+        return self._regions[start]
 
     # -- allocation -------------------------------------------------------
 

@@ -1,10 +1,14 @@
 """Opt-in phase profiling: attribute wall time to engine phases.
 
 A :class:`PhaseTimer` accumulates wall-clock seconds per named phase —
-the run loop uses ``execute`` (the instrumented run), ``solve`` (actual
-solver calls), ``cache`` (result-cache lookups/stores) and
-``checkpoint`` (session persistence) — so the benchmark suite can answer
-"where did the session's time go" without a sampling profiler.
+the run loop uses ``execute`` (the instrumented run, including hooks and
+machine set-up), ``compile`` (lazy IR lowering, carved out of
+``execute``), ``solve`` (the whole planning call minus the ``cache``
+time recorded inside it: constraint slicing, candidate building, dedup
+fingerprints *and* the solver proper — on cache-friendly sessions the
+solver is a small part of it), ``cache`` (result-cache lookups/stores)
+and ``checkpoint`` (session persistence) — so the benchmark suite can
+answer "where did the session's time go" without a sampling profiler.
 
 Disabled timers cost one attribute check per section: ``section(name)``
 returns a shared no-op context manager and never reads the clock.
@@ -17,6 +21,8 @@ import time
 
 #: Canonical phase names used by the DART run loop.
 EXECUTE = "execute"
+#: Planning (``_Session._plan``) minus its cache sections — not only
+#: solver calls; the name stays because reports key on ``phase_solve``.
 SOLVE = "solve"
 CACHE = "cache"
 CHECKPOINT = "checkpoint"

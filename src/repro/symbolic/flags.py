@@ -29,10 +29,14 @@ class CompletenessFlags:
     """
 
     __slots__ = ("all_linear", "all_locs_definite", "forcing_ok",
-                 "all_faithful", "trace")
+                 "all_faithful", "trace", "journal")
 
     def __init__(self):
         self.trace = None
+        #: While a run is being recorded for prefix snapshots, an object
+        #: whose ``note(flag)`` sees every clear_* call, whether or not
+        #: it is a transition (see repro.dart.resume).
+        self.journal = None
         self.reset()
 
     def reset(self):
@@ -53,21 +57,29 @@ class CompletenessFlags:
             trace.emit("flag_degraded", flag=flag)
 
     def clear_linear(self):
+        if self.journal is not None:
+            self.journal.note("all_linear")
         if self.all_linear:
             self._degraded("all_linear")
         self.all_linear = False
 
     def clear_locs(self):
+        if self.journal is not None:
+            self.journal.note("all_locs_definite")
         if self.all_locs_definite:
             self._degraded("all_locs_definite")
         self.all_locs_definite = False
 
     def clear_forcing(self):
+        if self.journal is not None:
+            self.journal.note("forcing_ok")
         if self.forcing_ok:
             self._degraded("forcing_ok")
         self.forcing_ok = False
 
     def clear_faithful(self):
+        if self.journal is not None:
+            self.journal.note("all_faithful")
         if self.all_faithful:
             self._degraded("all_faithful")
         self.all_faithful = False

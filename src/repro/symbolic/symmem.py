@@ -27,6 +27,14 @@ class SymbolicMemory:
     def clear(self):
         self._entries.clear()
 
+    def capture(self):
+        """The entries and bounds, as a value :meth:`restore` accepts."""
+        return dict(self._entries), self._lo, self._hi
+
+    def restore(self, state):
+        entries, self._lo, self._hi = state
+        self._entries = dict(entries)
+
     def read(self, addr, size):
         """The expression stored exactly at ``addr`` with width ``size``.
 

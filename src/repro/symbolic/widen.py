@@ -312,6 +312,17 @@ class Widener:
         self.widened = 0
         self.dropped = 0
 
+    def capture(self):
+        """The assignment, domains and funnel counters, for
+        :meth:`restore`."""
+        return (dict(self.assignment), dict(self.domains), self.widened,
+                self.dropped)
+
+    def restore(self, state):
+        assignment, domains, self.widened, self.dropped = state
+        self.assignment = dict(assignment)
+        self.domains = dict(domains)
+
     def note_input(self, ordinal, value, lo=None, hi=None):
         self.assignment[ordinal] = value
         if lo is not None and hi is not None:

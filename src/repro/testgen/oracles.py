@@ -1,6 +1,6 @@
 """The differential oracle battery.
 
-Four independent ways the pipeline can contradict itself, each checked on
+Independent ways the pipeline can contradict itself, each checked on
 every generated program:
 
 1. **Instrumentation transparency** — the same input vector is executed
@@ -40,6 +40,15 @@ every generated program:
    across a full directed search (not a single vector) is caught as a
    verdict/coverage disagreement.
 
+6. **Fault containment** — a clean and a seeded-fault session of the
+   same program (:meth:`OracleBattery.check_chaos`, sampled).
+7. **Resume vs. full replay** — every run of a depth-2 session (dfs and
+   bfs) that resumes from a prefix snapshot (:mod:`repro.dart.resume`)
+   is executed again from scratch, and both executions must agree on
+   the branch sequence, stack and conjunct keys, coverage, fault, step
+   and symbolic-step counts, widener counters, output, final input
+   vector and completeness flags.
+
 **Soundness.** Every oracle compares two independent derivations of the
 same fact (two executions, two configurations, a model vs. its
 constraints), so a report is a genuine contradiction in the pipeline,
@@ -56,7 +65,7 @@ from repro.dart.driver import DRIVER_ENTRY, build_test_program
 from repro.dart.inputs import InputVector
 from repro.dart.instrument import DirectedHooks, ForcingMismatch
 from repro.dart.report import BUG_FOUND, COMPLETE, RunStats
-from repro.dart.runner import Dart
+from repro.dart.runner import Dart, _Pending, _Session
 from repro.dart.solve import solve_path_constraint, solve_with_retry
 from repro.interp.compile import CompiledProgram
 from repro.interp.faults import ExecutionFault
@@ -88,6 +97,13 @@ class Divergence:
 
     def __repr__(self):
         return "Divergence({!r})".format(self.describe())
+
+
+#: Run budget for each resume-oracle session.  Every resumed run is
+#: executed a second time from scratch at depth 2, and the property is
+#: per run, so a budget below the configuration sessions' spends the
+#: campaign's time on more programs instead of longer sessions.
+RESUME_ITERATIONS = 40
 
 
 class OracleOptions:
@@ -219,6 +235,86 @@ class _Observation:
         return None
 
 
+def _run_observation(hooks, machine, caught, flags):
+    """What the resume oracle compares of one isolated execution."""
+    record = hooks.record
+    if caught is None:
+        fault = None
+    elif isinstance(caught, ExecutionFault):
+        fault = (caught.kind, str(caught.location))
+    else:
+        fault = type(caught).__name__
+    return {
+        "branches": record.path_key(),
+        "stack": tuple((entry.branch, entry.done)
+                       for entry in hooks.finished_stack()),
+        "conjuncts": tuple(None if conjunct is None else conjunct.key()
+                           for conjunct in record.constraints),
+        "coverage": frozenset(machine.covered_branches),
+        "fault": fault,
+        "steps": machine.steps,
+        "symbolic_steps": machine.symbolic_steps,
+        "widener": (machine.widener.widened, machine.widener.dropped),
+        "output": tuple(machine.output),
+        "inputs": hooks.im.prefix(len(hooks.im)),
+        "flags": flags.snapshot(),
+    }
+
+
+class _ResumeCheckingSession(_Session):
+    """A session that checks each run it resumes against full replay.
+
+    Every resumed run executes for real with flags of its own (folded
+    into the session's afterwards); the same item is then executed again
+    in isolation from scratch, with fresh flags, a copy of the RNG state
+    the real run started from and a clone of its input vector, keeping
+    no snapshots.  The two observations must be equal.
+    """
+
+    def __init__(self, dart):
+        super().__init__(dart)
+        self.compared = 0
+        self.mismatches = []
+
+    def _execute(self, item, flags, rng, snapshot, keep=True):
+        if snapshot is None or not keep:
+            return super()._execute(item, flags, rng, snapshot, keep)
+        state = rng.getstate()
+        scratch = _Pending(item.stack, item.im.clone(), item.bound)
+        own = CompletenessFlags()
+        hooks, machine, caught = super()._execute(item, own, rng, snapshot)
+        resumed = _run_observation(hooks, machine, caught, own)
+        for intact, clear in zip(own.snapshot(), (
+                flags.clear_linear, flags.clear_locs, flags.clear_forcing,
+                flags.clear_faithful)):
+            if not intact:
+                clear()
+        rng = random.Random()
+        rng.setstate(state)
+        own = CompletenessFlags()
+        full = _run_observation(
+            *super()._execute(scratch, own, rng, None, keep=False), own)
+        self.compared += 1
+        for field, value in resumed.items():
+            if value != full[field]:
+                im = scratch.im
+                self.mismatches.append((
+                    "{} differs: resumed {!r} vs full {!r}".format(
+                        field, value, full[field]),
+                    im.values(), [slot.kind for slot in im]))
+                break
+        return hooks, machine, caught
+
+
+def resume_differential(source, toplevel, options):
+    """Run one session whose every resumed run is checked against full
+    replay; returns ``(result, runs compared, mismatches)`` where each
+    mismatch is ``(detail, inputs, kinds)``."""
+    session = _ResumeCheckingSession(Dart(source, toplevel, options))
+    result = session.search(session.drain_inline)
+    return result, session.compared, session.mismatches
+
+
 class OracleBattery:
     """Runs the oracle suite against one generated program at a time."""
 
@@ -230,7 +326,7 @@ class OracleBattery:
             "forcing_mismatches": 0, "plans_checked": 0,
             "solver_systems": 0, "solver_unknown": 0,
             "parallel_sessions": 0, "chaos_probes": 0,
-            "engine_runs": 0,
+            "engine_runs": 0, "resume_runs_compared": 0,
             "conjuncts_widened": 0, "conjuncts_dropped_unfaithful": 0,
         }
         #: One compiled lowering per module (keyed by identity): every
@@ -464,6 +560,26 @@ class OracleBattery:
             self._compare_sessions("serial", serial, "jobs", parallel))
         return divergences
 
+    # -- oracle 7: resume vs. full replay ------------------------------------
+
+    def check_resume(self, program):
+        """Every resumed run of a depth-2 dfs and bfs session must equal
+        its full replay (see :class:`_ResumeCheckingSession`)."""
+        divergences = []
+        for strategy in ("dfs", "bfs"):
+            _, compared, mismatches = resume_differential(
+                program.render(), program.toplevel,
+                self._dart_options(
+                    depth=2, strategy=strategy,
+                    max_iterations=RESUME_ITERATIONS))
+            self.counters["dart_sessions"] += 1
+            self.counters["resume_runs_compared"] += compared
+            for detail, inputs, kinds in mismatches:
+                divergences.append(Divergence(
+                    "resume", "{}: {}".format(strategy, detail),
+                    inputs, kinds))
+        return divergences
+
     # -- oracle 3: solver vs. brute force -----------------------------------
 
     _OPS = (EQ, NE, LT, LE, GT, GE)
@@ -670,6 +786,7 @@ class OracleBattery:
         divergences.extend(self.check_transparency(program, module))
         divergences.extend(self.check_forcing(program, module))
         divergences.extend(self.check_config_invariance(program))
+        divergences.extend(self.check_resume(program))
         if parallel:
             divergences.extend(self.check_parallel_invariance(program))
         if chaos:
@@ -695,4 +812,6 @@ class OracleBattery:
                     if d.oracle == oracle]
         if oracle == "chaos":
             return self.check_chaos(program)
+        if oracle == "resume":
+            return self.check_resume(program)
         return []
